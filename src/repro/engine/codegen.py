@@ -13,7 +13,15 @@ thread. The generated code
   thread-cycle offset of the launch;
 * compiles kernels that use ``__syncthreads()`` into *generators* that yield
   their cycle count at each barrier so the block executor can rotate threads
-  and re-synchronize their clocks.
+  and re-synchronize their clocks;
+* binds each indexed pointer ``x`` to its backing list and offset
+  (``_A_x``, ``_O_x``) after every assignment to it and, for a parameter,
+  before the first statement (or loop) that indexes it, so ``x[i]`` is
+  the list index ``_A_x[_O_x + i]``;
+* coerces every store to the stored-to element or variable type
+  (``int(v)`` / ``float(v)``) unless a small static typer (:meth:`_kind`)
+  proves *v* already has that type — lists do not coerce the way numpy
+  arrays did.
 
 Calling conventions:
 
@@ -56,6 +64,12 @@ _ATOMIC_METHODS = {
     "atomicOr": "atomic_or", "atomicAnd": "atomic_and",
 }
 
+#: Scalar type names by the kind of Python value that memory of the type
+#: holds (``bool`` elements are stored as ints; see engine.values).
+_INT_TYPES = frozenset({"int", "unsigned", "unsigned int", "long",
+                        "unsigned long", "short", "char"})
+_FLOAT_TYPES = frozenset({"float", "double"})
+
 _RESERVED_MEMBERS = {
     ("threadIdx", "x"): "_tix", ("threadIdx", "y"): "_tiy",
     ("threadIdx", "z"): "_tiz",
@@ -72,6 +86,44 @@ def _mangle(name):
     return "v_" + name
 
 
+def _storage_kind(type_):
+    """'int' / 'float' for what memory holding *type_* elements stores
+    (device arrays coerce ``bool`` to int), None for pointers and others."""
+    if type_.pointers:
+        return None
+    if type_.name in _INT_TYPES or type_.name == "bool":
+        return "int"
+    if type_.name in _FLOAT_TYPES:
+        return "float"
+    return None
+
+
+def scalar_kind(type_):
+    """'int' / 'float' for a scalar variable or parameter of *type_* (None
+    for bool, dim3 and pointers, whose values are not coerced)."""
+    if type_.pointers or type_.name == "bool":
+        return None
+    return _storage_kind(type_)
+
+
+def _binary_kind(op, lhs, rhs):
+    """Static kind of ``lhs op rhs`` given its operand kinds."""
+    if lhs is None or rhs is None or op in _CMP_OPS or op in ("&&", "||"):
+        return None
+    if lhs == rhs == "int":
+        return "int"
+    if op in ("+", "-", "*", "/", "%"):
+        return "float"
+    return None
+
+
+def _coerced(kind, value_kind, code):
+    """*code* converted to *kind* unless its static kind already is."""
+    if kind is None or kind == value_kind:
+        return code
+    return "%s(%s)" % (kind, code)
+
+
 class FunctionCodegen:
     """Generate Python source for one miniCUDA function."""
 
@@ -82,9 +134,20 @@ class FunctionCodegen:
         self.macros = macros
         self.lines = []
         self.types = {p.name: p.type for p in func.params}
+        self.arrays = set()           # __shared__ / local arrays (lists)
         for decl_stmt in find_all(func, ast.DeclStmt):
             for decl in decl_stmt.decls:
                 self.types[decl.name] = decl.type
+                if decl.array_size is not None:
+                    self.arrays.add(decl.name)
+        self.hoisted = {
+            base.name for base in self._pointer_bases(func)
+            if base.name not in self.arrays
+            and self.types[base.name].pointers > 0}
+        # Parameters are bound lazily, before the first statement that
+        # indexes them; each nested block gets its own scope of bindings.
+        self._lazy = self.hoisted & {p.name for p in func.params}
+        self._bound = [set()]
         self.has_barrier = any(
             isinstance(c.func, ast.Ident) and c.func.name in _BARRIER_CALLS
             for c in find_all(func, ast.Call))
@@ -92,6 +155,67 @@ class FunctionCodegen:
             raise CodegenError(
                 "device function %r uses __syncthreads(); barriers are only "
                 "supported directly inside kernels" % func.name)
+
+    def _pointer_bases(self, node):
+        """Variables of this function that *node* indexes, dereferences
+        or hands to an atomic."""
+        for sub in node.walk():
+            if isinstance(sub, ast.Index):
+                base = sub.base
+            elif isinstance(sub, ast.Unary) and sub.op == "*":
+                base = sub.operand
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Ident)
+                  and sub.func.name in _ATOMIC_METHODS and sub.args):
+                base = sub.args[0]
+            else:
+                continue
+            if isinstance(base, ast.Ident) and base.name in self.types:
+                yield base
+
+    def _emit_hoist(self, indent, name):
+        """Bind ``_A_x, _O_x`` to pointer x's list and offset; inline
+        attribute loads for a Ptr, :func:`~repro.engine.values.hoist`
+        (lists, null pointers) otherwise."""
+        if name in self.hoisted:
+            var = _mangle(name)
+            self._emit(indent, "if %s.__class__ is _Ptr: _A_%s = %s.array; "
+                               "_O_%s = %s.offset" % (var, name, var, name,
+                                                      var))
+            self._emit(indent, "else: _A_%s, _O_%s = _hoist(%s)" % (
+                name, name, var))
+            self._bound[-1].add(name)
+
+    def _bind_params(self, indent, *nodes):
+        """Hoist the pointer parameters *nodes* index that no enclosing
+        scope has bound yet. Locals need none of this: they are hoisted
+        at their declaration, which dominates every use."""
+        names = {base.name for node in nodes if node is not None
+                 for base in self._pointer_bases(node)
+                 if base.name in self._lazy}
+        for name in sorted(names):
+            if not any(name in scope for scope in self._bound):
+                self._emit_hoist(indent, name)
+
+    def _unconditional(self, stmt):
+        """Parts of *stmt* that run whenever it does (an ``if``'s branches
+        do not): what a loop binds before its first iteration."""
+        if isinstance(stmt, ast.Compound):
+            for inner in stmt.stmts:
+                yield from self._unconditional(inner)
+        elif isinstance(stmt, ast.If):
+            yield stmt.cond
+        elif isinstance(stmt, (ast.While, ast.DoWhile, ast.For)):
+            yield stmt.cond
+            yield getattr(stmt, "step", None)
+            yield from self._unconditional(stmt.body)
+        else:
+            yield stmt
+
+    def _enter_scope(self):
+        self._bound.append(set())
+
+    def _exit_scope(self):
+        self._bound.pop()
 
     # -- entry point --------------------------------------------------------
 
@@ -184,6 +308,7 @@ class FunctionCodegen:
             weight = sum(self._stmt_weight(s) for s in pending)
             self._emit_cost(indent, weight, region_of(pending[0]))
             for simple in pending:
+                self._bind_params(indent, simple)
                 self._gen_simple(simple, indent)
             pending.clear()
 
@@ -221,6 +346,10 @@ class FunctionCodegen:
 
     def _gen_stmt(self, stmt, indent):
         region = region_of(stmt)
+        if isinstance(stmt, (ast.ExprStmt, ast.DeclStmt, ast.Return)):
+            self._bind_params(indent, stmt)
+        elif isinstance(stmt, (ast.While, ast.DoWhile)):
+            self._bind_params(indent, *self._unconditional(stmt))
         if isinstance(stmt, ast.Compound):
             self._gen_compound(stmt, indent)
         elif isinstance(stmt, ast.ExprStmt):
@@ -238,6 +367,7 @@ class FunctionCodegen:
             self._emit_cost(indent, self._stmt_weight(stmt), region)
             self._gen_simple(stmt, indent)
         elif isinstance(stmt, ast.If):
+            self._bind_params(indent, stmt.cond)
             self._emit_cost(indent, self._weight(stmt.cond), region)
             self._emit(indent, "if %s:" % self._cond(stmt.cond))
             self._gen_nested(stmt.then, indent + 1)
@@ -248,13 +378,17 @@ class FunctionCodegen:
             self._gen_while(stmt.cond, stmt.body, indent, region)
         elif isinstance(stmt, ast.DoWhile):
             self._emit(indent, "while True:")
+            self._enter_scope()
             self._gen_nested(stmt.body, indent + 1)
             self._emit_cost(indent + 1, self._weight(stmt.cond), region)
             self._emit(indent + 1, "if not (%s):" % self._cond(stmt.cond))
             self._emit(indent + 2, "break")
+            self._exit_scope()
         elif isinstance(stmt, ast.For):
             if stmt.init is not None:
                 self._gen_stmt(stmt.init, indent)
+            self._bind_params(indent, stmt.cond, stmt.step,
+                              *self._unconditional(stmt.body))
             self._gen_while(stmt.cond, stmt.body, indent, region,
                             step=stmt.step)
         elif isinstance(stmt, ast.Return):
@@ -276,13 +410,16 @@ class FunctionCodegen:
                 "cannot generate statement %r" % type(stmt).__name__)
 
     def _gen_nested(self, stmt, indent):
+        self._enter_scope()
         if isinstance(stmt, ast.Compound):
             self._gen_compound(stmt, indent)
         else:
             self._gen_stmt(stmt, indent)
+        self._exit_scope()
 
     def _gen_while(self, cond, body, indent, region, step=None):
         self._emit(indent, "while True:")
+        self._enter_scope()
         if cond is not None:
             self._emit_cost(indent + 1, self._weight(cond), region)
             self._emit(indent + 1, "if not (%s):" % self._cond(cond))
@@ -291,6 +428,7 @@ class FunctionCodegen:
         if step is not None:
             self._emit_cost(indent + 1, self._weight(step), region)
             self._gen_expr_effect(step, indent + 1)
+        self._exit_scope()
 
     def _gen_barrier(self, indent, region):
         if not self.has_barrier:
@@ -301,7 +439,8 @@ class FunctionCodegen:
     def _gen_launch(self, launch, indent):
         if launch.kernel not in self.info.kernels:
             raise CodegenError("launch of unknown kernel %r" % launch.kernel)
-        args = "".join(self._expr(a) + ", " for a in launch.args)
+        args = "".join(a + ", " for a in self._call_args(launch.kernel,
+                                                         launch.args))
         self._emit(indent, "_c = _rt.launch(%r, _D3.of(%s), _D3.of(%s), "
                            "(%s), _c)" % (
                                launch.kernel, self._expr(launch.grid),
@@ -331,14 +470,20 @@ class FunctionCodegen:
 
     def _gen_decl(self, decl, indent):
         name = _mangle(decl.name)
+        kind = scalar_kind(decl.type)
         if decl.init is None:
-            default = "_D3()" if decl.type.name == "dim3" else "0"
+            if decl.type.name == "dim3" and decl.type.pointers == 0:
+                default = "_D3()"
+            else:
+                default = "0.0" if kind == "float" else "0"
             self._emit(indent, "%s = %s" % (name, default))
-            return
-        value = self._expr(decl.init)
-        if decl.type.name == "dim3" and decl.type.pointers == 0:
-            value = "_D3.of(%s)" % value
-        self._emit(indent, "%s = %s" % (name, value))
+        else:
+            value = self._expr(decl.init)
+            if decl.type.name == "dim3" and decl.type.pointers == 0:
+                value = "_D3.of(%s)" % value
+            value = _coerced(kind, self._kind(decl.init), value)
+            self._emit(indent, "%s = %s" % (name, value))
+        self._emit_hoist(indent, decl.name)
 
     def _gen_expr_effect(self, expr, indent):
         """An expression evaluated for effect (assignment, call, ++/--)."""
@@ -347,6 +492,7 @@ class FunctionCodegen:
         elif isinstance(expr, ast.Unary) and expr.op in ("++", "--"):
             op = "+=" if expr.op == "++" else "-="
             self._emit(indent, "%s %s 1" % (self._lvalue(expr.operand), op))
+            self._emit_hoist_target(indent, expr.operand)
         elif isinstance(expr, ast.Call):
             if (isinstance(expr.func, ast.Ident)
                     and expr.func.name == "cudaMalloc"):
@@ -364,14 +510,111 @@ class FunctionCodegen:
     def _gen_assign(self, assign, indent):
         target = assign.target
         value = self._expr(assign.value)
+        lvalue = self._lvalue(target)
+        kind = self._target_kind(target)
         op = assign.op
         if op == "=":
             if (isinstance(target, ast.Ident)
                     and self._type_name(target.name) == "dim3"):
                 value = "_D3.of(%s)" % value
-            self._emit(indent, "%s = %s" % (self._lvalue(target), value))
+            value = _coerced(kind, self._kind(assign.value), value)
+            self._emit(indent, "%s = %s" % (lvalue, value))
+        elif op in ("/=", "%="):
+            helper = "_div" if op == "/=" else "_mod"
+            result = _binary_kind(op[0], self._kind(target),
+                                  self._kind(assign.value))
+            self._emit(indent, "%s = %s" % (lvalue, _coerced(
+                kind, result, "%s(%s, %s)" % (helper, lvalue, value))))
         else:
-            self._emit(indent, "%s %s %s" % (self._lvalue(target), op, value))
+            result = _binary_kind(op[:-1], self._kind(target),
+                                  self._kind(assign.value))
+            if kind is None or result == kind:
+                self._emit(indent, "%s %s %s" % (lvalue, op, value))
+            else:
+                self._emit(indent, "%s = %s((%s) %s (%s))" % (
+                    lvalue, kind, lvalue, op[:-1], value))
+        self._emit_hoist_target(indent, target)
+
+    def _emit_hoist_target(self, indent, target):
+        if isinstance(target, ast.Ident):
+            self._emit_hoist(indent, target.name)
+
+    def _target_kind(self, target):
+        """The kind a store to *target* must have (None: no coercion, or
+        left to ``Ptr.__setitem__`` at run time)."""
+        if isinstance(target, ast.Ident):
+            if target.name in self.types:
+                return scalar_kind(self.types[target.name])
+            return None
+        if isinstance(target, ast.Member):
+            return "int"              # dim3 components
+        return self._element_kind(target)
+
+    def _element_kind(self, expr):
+        """Storage kind of ``x[i]`` / ``*x`` for a pointer or array
+        variable ``x`` of this function, else None."""
+        if isinstance(expr, ast.Index):
+            base = expr.base
+        elif isinstance(expr, ast.Unary) and expr.op == "*":
+            base = expr.operand
+        else:
+            return None
+        if not (isinstance(base, ast.Ident) and base.name in self.types):
+            return None
+        base_type = self.types[base.name]
+        if base.name in self.arrays:
+            return _storage_kind(base_type)
+        if base_type.pointers > 0:
+            return _storage_kind(base_type.pointee())
+        return None
+
+    def _kind(self, expr):
+        """'int' / 'float' when *expr* statically evaluates to a Python
+        int / float, else None (unknown, bool, pointer, dim3)."""
+        if isinstance(expr, ast.IntLit):
+            return "int"
+        if isinstance(expr, ast.FloatLit):
+            return "float"
+        if isinstance(expr, ast.Ident):
+            name = expr.name
+            if name in self.types:
+                if name in self.arrays:
+                    return None
+                return scalar_kind(self.types[name])
+            if name == "warpSize" or name in self.macros:
+                return "int"
+            return None
+        if isinstance(expr, ast.Member):
+            if isinstance(expr.obj, ast.Ident) and (
+                    (expr.obj.name, expr.attr) in _RESERVED_MEMBERS
+                    or self._type_name(expr.obj.name) == "dim3"):
+                return "int"
+            return None
+        if isinstance(expr, ast.Index) or (
+                isinstance(expr, ast.Unary) and expr.op == "*"):
+            return self._element_kind(expr)
+        if isinstance(expr, ast.Unary):
+            if expr.op in ("-", "+"):
+                return self._kind(expr.operand)
+            return "int" if expr.op == "~" else None
+        if isinstance(expr, ast.Binary):
+            return _binary_kind(expr.op, self._kind(expr.lhs),
+                                self._kind(expr.rhs))
+        if isinstance(expr, ast.Ternary):
+            then = self._kind(expr.then)
+            return then if then == self._kind(expr.orelse) else None
+        if isinstance(expr, ast.Cast):
+            return scalar_kind(expr.type)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Ident):
+            name = expr.func.name
+            if name in ("ceil", "ceilf", "floor", "floorf"):
+                return "int"          # math.ceil/floor return ints
+            if _MATH_FUNCS.get(name, "").startswith("_m."):
+                return "float"
+            if name in _MATH_FUNCS and expr.args:
+                kinds = {self._kind(a) for a in expr.args}
+                return kinds.pop() if len(kinds) == 1 else None
+        return None
 
     def _type_name(self, var_name):
         var_type = self.types.get(var_name)
@@ -387,16 +630,27 @@ class FunctionCodegen:
                 return "g_%s[0]" % expr.name
             raise CodegenError("assignment to unknown name %r" % expr.name)
         if isinstance(expr, ast.Index):
-            return "%s[%s]" % (self._expr(expr.base), self._expr(expr.index))
+            return self._index(expr.base, self._expr(expr.index))
         if isinstance(expr, ast.Member):
             if isinstance(expr.obj, ast.Ident) and \
                     (expr.obj.name, expr.attr) in _RESERVED_MEMBERS:
                 raise CodegenError("assignment to reserved variable")
             return "%s.%s" % (self._expr(expr.obj), expr.attr)
         if isinstance(expr, ast.Unary) and expr.op == "*":
-            return "%s[0]" % self._expr(expr.operand)
+            return self._index(expr.operand, "0")
         raise CodegenError(
             "unsupported assignment target %r" % type(expr).__name__)
+
+    def _index(self, base, index):
+        """``base[index]``, as a direct list index for hoisted pointers."""
+        if isinstance(base, ast.Ident) and base.name in self.hoisted:
+            return "_A_%s[%s]" % (base.name, self._offset(base.name, index))
+        return "%s[%s]" % (self._expr(base), index)
+
+    @staticmethod
+    def _offset(name, index):
+        return "_O_%s" % name if index == "0" else "_O_%s + %s" % (
+            name, index)
 
     # -- expressions ---------------------------------------------------------
 
@@ -417,7 +671,7 @@ class FunctionCodegen:
         if isinstance(expr, ast.Member):
             return self._member(expr)
         if isinstance(expr, ast.Index):
-            return "%s[%s]" % (self._expr(expr.base), self._expr(expr.index))
+            return self._index(expr.base, self._expr(expr.index))
         if isinstance(expr, ast.Binary):
             return self._binary(expr)
         if isinstance(expr, ast.Unary):
@@ -467,10 +721,10 @@ class FunctionCodegen:
     def _binary(self, expr):
         lhs, rhs = self._expr(expr.lhs), self._expr(expr.rhs)
         op = expr.op
-        if op == "/":
-            return "_div(%s, %s)" % (lhs, rhs)
-        if op == "%":
-            return "_mod(%s, %s)" % (lhs, rhs)
+        if op in ("/", "%"):
+            ints = self._kind(expr.lhs) == self._kind(expr.rhs) == "int"
+            helper = ("_i" if ints else "_") + ("div" if op == "/" else "mod")
+            return "%s(%s, %s)" % (helper, lhs, rhs)
         if op == "&&":
             return "((%s) and (%s))" % (lhs, rhs)
         if op == "||":
@@ -493,7 +747,7 @@ class FunctionCodegen:
         if expr.op == "~":
             return "(~int(%s))" % operand
         if expr.op == "*":
-            return "%s[0]" % operand
+            return self._index(expr.operand, "0")
         if expr.op == "&":
             raise CodegenError(
                 "address-of is only supported in atomic/cudaMalloc calls")
@@ -535,28 +789,52 @@ class FunctionCodegen:
             ptr, value, _size = (self._expr(a) for a in expr.args)
             return "%s.fill(%s)" % (ptr, value)
         if name in self.info.functions:
-            args = "".join(", " + self._expr(a) for a in expr.args)
+            args = "".join(", " + a for a in self._call_args(name, expr.args))
             return "f_%s(_rt, %s%s)" % (name, self._ctx_args, args)
         raise CodegenError(
             "call to unknown function %r in %r" % (name, self.func.name))
 
+    def _call_args(self, callee, args):
+        """Argument code for a call or launch of *callee*, each scalar
+        coerced to its parameter's type as a C call converts it."""
+        params = self.info.params.get(callee, ())
+        code = []
+        for k, arg in enumerate(args):
+            kind = scalar_kind(params[k]) if k < len(params) else None
+            code.append(_coerced(kind, self._kind(arg), self._expr(arg)))
+        return code
+
     def _pointer_ref(self, arg):
-        """Resolve an atomic's pointer argument to ('array expr', 'index')."""
+        """Resolve an atomic's pointer argument to ('array expr', 'index',
+        element kind)."""
         if isinstance(arg, ast.Unary) and arg.op == "&":
             inner = arg.operand
             if isinstance(inner, ast.Index):
-                return self._expr(inner.base), self._expr(inner.index)
-            if isinstance(inner, ast.Ident):
+                base = inner.base
+                index = self._expr(inner.index)
+                kind = self._element_kind(inner)
+            elif isinstance(inner, ast.Ident):
                 if inner.name in self.info.global_scalars:
-                    return "g_%s" % inner.name, "0"
+                    return "g_%s" % inner.name, "0", None
                 raise CodegenError(
                     "atomic on non-global scalar %r" % inner.name)
-            raise CodegenError("unsupported address-of operand in atomic")
-        return self._expr(arg), "0"
+            else:
+                raise CodegenError("unsupported address-of operand in atomic")
+        else:
+            base, index = arg, "0"
+            kind = self._element_kind(ast.Unary("*", arg))
+        if isinstance(base, ast.Ident) and base.name in self.hoisted:
+            return "_A_%s" % base.name, self._offset(base.name, index), kind
+        return self._expr(base), index, kind
 
     def _atomic(self, name, args):
-        base, index = self._pointer_ref(args[0])
-        rest = "".join(", " + self._expr(a) for a in args[1:])
+        base, index, kind = self._pointer_ref(args[0])
+        # atomicCAS(p, compare, value) stores only its last operand.
+        stored = len(args) - 1
+        rest = "".join(
+            ", " + (_coerced(kind, self._kind(a), self._expr(a))
+                    if k == stored else self._expr(a))
+            for k, a in enumerate(args) if k > 0)
         return "_rt.%s(%s, %s%s)" % (
             _ATOMIC_METHODS[name], base, index, rest)
 
@@ -578,6 +856,7 @@ class FunctionCodegen:
         size = self._expr(args[1])
         self._emit(indent, "%s = _rt.device_malloc((%s) // 4, %r)" % (
             _mangle(var), size, elem.name))
+        self._emit_hoist(indent, var)
 
 
 class ProgramInfo:
@@ -593,6 +872,8 @@ class ProgramInfo:
             and node.attr in ("y", "z")
             for node in program.walk())
         self.kernels = {f.name for f in program.kernels()}
+        self.params = {f.name: [p.type for p in f.params]
+                       for f in program.functions()}
         self.global_scalars = set()
         self.global_arrays = set()
         for decl in program.decls:
@@ -615,9 +896,10 @@ def generate_module_source(program, macros=None, cost_model=None):
     info = ProgramInfo(program)
     chunks = [
         "import math as _m",
-        "from repro.engine.values import Dim3 as _D3, Ptr as _Ptr",
+        "from repro.engine.values import (Dim3 as _D3, Ptr as _Ptr,"
+        " hoist as _hoist)",
         "from repro.engine.builtins import (c_div as _div, c_mod as _mod,"
-        " local_array as _local_array)",
+        " int_div as _idiv, int_mod as _imod, local_array as _local_array)",
         "",
     ]
     kernel_info = {}

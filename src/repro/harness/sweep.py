@@ -37,8 +37,6 @@ identical to a serial one — the test suite enforces this across every
 backend.
 """
 
-import concurrent.futures
-import multiprocessing
 import os
 import threading
 import time
@@ -233,6 +231,7 @@ def _safe_worker(point):
 
 
 def _pool_context():
+    import multiprocessing      # only the process pools need it
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
@@ -310,14 +309,12 @@ class ProcessBackend(Backend):
 class _FuturesBackend(Backend):
     """Shared base for the ``concurrent.futures`` pool backends."""
 
-    _executor_cls = None
-
     def __init__(self, jobs=1, chunk_size=None):
         super().__init__(jobs, chunk_size)
         self._executor = None
 
     def _make_executor(self):
-        return self._executor_cls(max_workers=self.jobs)
+        raise NotImplementedError
 
     def map(self, points):
         if self.jobs <= 1 or len(points) <= 1:
@@ -337,24 +334,35 @@ class ThreadBackend(_FuturesBackend):
     """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
 
     name = "thread"
-    _executor_cls = concurrent.futures.ThreadPoolExecutor
+
+    def _make_executor(self):
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor(max_workers=self.jobs)
 
 
 class FuturesBackend(_FuturesBackend):
     """``ProcessPoolExecutor`` (the stdlib's other process pool)."""
 
     name = "futures"
-    _executor_cls = concurrent.futures.ProcessPoolExecutor
 
     def _make_executor(self):
-        return self._executor_cls(max_workers=self.jobs,
-                                  mp_context=_pool_context())
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor(max_workers=self.jobs,
+                                   mp_context=_pool_context())
 
 
-#: Registry of backend names; ``repro.harness.remote`` adds ``remote`` when
-#: it is imported (the ``repro.harness`` package always imports it).
+def _remote_backend(*args, **kwargs):
+    """Stand-in for ``RemoteBackend`` until :mod:`repro.harness.remote`
+    (sockets and the worker protocol) is imported; importing it replaces
+    this entry with the class."""
+    from .remote import RemoteBackend
+    return RemoteBackend(*args, **kwargs)
+
+
+#: Registry of backend names (``remote`` loads its module on first use).
 BACKENDS = {cls.name: cls for cls in
             (SerialBackend, ProcessBackend, ThreadBackend, FuturesBackend)}
+BACKENDS["remote"] = _remote_backend
 
 
 def make_backend(backend, jobs=1, chunk_size=None, workers=None,

@@ -20,6 +20,7 @@ after the parent grid completes (Sec. V-A: the CPU is involved).
 
 import numpy as np
 
+from ..engine.codegen import scalar_kind
 from ..engine.executor import run_grid
 from ..engine.values import Dim3, alloc_for_type
 from ..errors import RuntimeLaunchError
@@ -50,16 +51,17 @@ class Device:
         """Allocate *count* elements of a scalar type name ('int', 'float')."""
         ptr = alloc_for_type(Type(type_name), count)
         if fill is not None:
-            ptr.array[:] = fill
+            ptr.fill(fill)
         self._allocs.append(ptr)
         return ptr
 
     def upload(self, array):
-        """Copy a numpy array into freshly allocated device memory."""
+        """Copy a numpy array into freshly allocated device memory (int64
+        or float64 elements, held as a Python list; see engine.values)."""
         array = np.asarray(array)
         kind = "float" if array.dtype.kind == "f" else "int"
         ptr = self.alloc(kind, len(array))
-        ptr.array[:] = array
+        ptr.array[:] = array.astype(ptr.dtype).tolist()
         return ptr
 
     # -- launches ------------------------------------------------------------
@@ -70,7 +72,9 @@ class Device:
         grid_dim = Dim3.of(grid_dim)
         block_dim = Dim3.of(block_dim)
         kernel = self.module.kernel(kernel_name)
-        full_args = list(args)
+        full_args = [_host_arg(value, param_type) for value, (_, param_type)
+                     in zip(args, kernel.params)]
+        full_args.extend(args[len(full_args):])
         agg_specs = []
         promotion = None
         if self.module.meta is not None:
@@ -151,6 +155,17 @@ class Device:
     def breakdown(self):
         """Fig. 10 component totals for the recorded trace."""
         return breakdown(self.trace, self.config)
+
+
+def _host_arg(value, param_type):
+    """A host scalar converted to its kernel parameter's type (numpy
+    scalars become the Python int/float that device memory holds)."""
+    kind = scalar_kind(param_type)
+    if kind == "int":
+        return int(value)
+    if kind == "float":
+        return float(value)
+    return value
 
 
 def _agg_geometry(spec, grid_blocks, block_threads):

@@ -19,7 +19,8 @@ def run(source, kernel, grid, block, *args, module=None):
 
 def int_array(values):
     p = alloc_for_type(Type("int"), len(values))
-    p.array[:] = values
+    for index, value in enumerate(values):
+        p[index] = value
     return p
 
 
@@ -234,7 +235,7 @@ class TestBarriers:
         """
         out = alloc_for_type(Type("int"), 8)
         run(src, "k", 1, 8, out, 4)
-        assert out.array.sum() == 4
+        assert out.to_numpy().sum() == 4
 
     def test_barrier_in_device_function_rejected(self):
         src = """
@@ -379,3 +380,186 @@ class TestCodegenErrors:
         module = Module("__global__ void k(int *p) { p[0] = 1; }")
         with pytest.raises(CodegenError):
             module.kernel("nope")
+
+
+def float_array(count):
+    return alloc_for_type(Type("float"), count)
+
+
+class TestStoreCoercion:
+    """Device memory is a Python list, so every store must convert to the
+    stored-to type the way C (and the old numpy arrays) did."""
+
+    def test_shared_local_and_global_float_stores_widen_ints(self):
+        src = """
+        __global__ void k(float *g, float *out) {
+            __shared__ float s[4];
+            float loc[1];
+            int t = threadIdx.x;
+            s[t] = 1;
+            loc[0] = 3;
+            g[t] = 1;
+            out[t] = s[t] / 2 + loc[0] / 2 + g[t] / 2;
+        }
+        """
+        g, out = float_array(4), float_array(4)
+        run(src, "k", 1, 4, g, out)
+        assert out.to_numpy().tolist() == [2.5] * 4
+
+    def test_int_arrays_truncate_float_stores(self):
+        src = """
+        __global__ void k(int *out) {
+            __shared__ int s[1];
+            int loc[1];
+            s[0] = 2.9;
+            loc[0] = -2.9;
+            out[0] = 3.5;
+            out[1] = -3.5;
+            out[2] = s[0] + loc[0];
+            out[3] = 1;
+            out[3] += 0.5;
+        }
+        """
+        out = alloc_for_type(Type("int"), 4)
+        run(src, "k", 1, 1, out)
+        assert out.array == [3, -3, 0, 1]
+        assert all(type(v) is int for v in out.array)
+
+    def test_scalar_locals_take_their_declared_type(self):
+        src = """
+        __global__ void k(int *ints, float *floats) {
+            int x = 7.9;
+            float f;
+            f += 1;
+            int q = 7;
+            q /= 2;
+            int r = -7;
+            r %= 2;
+            ints[0] = x / 2;
+            ints[1] = q;
+            ints[2] = r;
+            floats[0] = f / 2;
+        }
+        """
+        ints, floats = alloc_for_type(Type("int"), 3), float_array(1)
+        run(src, "k", 1, 1, ints, floats)
+        assert ints.array == [3, 3, -1]
+        assert floats[0] == 0.5
+
+    def test_atomic_operands_take_the_element_type(self):
+        src = """
+        __global__ void k(float *f, int *i) {
+            atomicAdd(&f[0], 1);
+            atomicExch(i, 2.5);
+        }
+        """
+        f, i = float_array(1), alloc_for_type(Type("int"), 1)
+        run(src, "k", 1, 1, f, i)
+        assert type(f[0]) is float and f[0] / 2 == 0.5
+        assert i.array == [2]
+
+    def test_call_and_launch_arguments_take_the_parameter_type(self):
+        src = """
+        __device__ float half(float x) { return x / 2; }
+        __global__ void child(float *out, float v) { out[1] = v / 2; }
+        __global__ void k(float *out) {
+            out[0] = half(3);
+            child<<<1, 1>>>(out, 5);
+        }
+        """
+        out = float_array(2)
+        run(src, "k", 1, 1, out)
+        assert out.array == [1.5, 2.5]
+
+    def test_host_scalars_become_python_numbers(self):
+        from repro.runtime import Device
+        dev = Device(Module("""
+        __global__ void k(int *out, int n, float x) {
+            out[0] = n / 2;
+            out[1] = x / 2;
+        }
+        """))
+        out = dev.alloc("int", 2)
+        dev.launch("k", 1, 1, out, np.int64(7), 3)
+        assert out.array == [3, 1]
+        assert all(type(v) is int for v in out.array)
+
+
+class TestPointerHoisting:
+    def test_indexed_pointers_are_hoisted_unused_ones_are_not(self):
+        module = Module("""
+        __global__ void k(int *used, int *passed) {
+            used[threadIdx.x] = 1;
+        }
+        """)
+        source = module.python_source
+        assert "_A_used[_O_used + _tix] = 1" in source
+        assert "_A_passed" not in source
+
+    def test_statically_typed_stores_are_not_wrapped(self):
+        module = Module("""
+        __global__ void k(int *out, float *f, int n) {
+            int t = threadIdx.x;
+            out[t] = t * 2 + n / 3;
+            f[t] = 0.5f * t;
+        }
+        """)
+        source = module.python_source
+        assert "int(" not in source and "float(" not in source
+        assert "_idiv(v_n, 3)" in source
+
+    def test_reassigned_pointer_is_rehoisted(self):
+        src = """
+        __global__ void k(int *a, int *b) {
+            int *p = a;
+            p[0] = 1;
+            p = b;
+            p[0] = 2;
+            p += 1;
+            p[0] = 3;
+            p++;
+            *p = 4;
+        }
+        """
+        a, b = alloc_for_type(Type("int"), 1), alloc_for_type(Type("int"), 3)
+        run(src, "k", 1, 1, a, b)
+        assert a.array == [1]
+        assert b.array == [2, 3, 4]
+
+    def test_parameter_is_bound_on_the_branch_that_indexes_it(self):
+        lines = Module("""
+        __global__ void k(int *out, int *rare) {
+            if (threadIdx.x == 0) { rare[0] = 1; }
+            out[threadIdx.x] = 2;
+        }
+        """).python_source.splitlines()
+        branch = next(i for i, line in enumerate(lines)
+                      if "if (_tix == 0):" in line)
+        binds = [i for i, line in enumerate(lines) if "_A_rare =" in line]
+        assert binds and all(i > branch for i in binds)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pointer_reassigned_in_a_loop_that_may_not_run(self, n):
+        src = """
+        __global__ void k(int *a, int *b, int n) {
+            for (int i = 0; i < n; i++) { a = b; }
+            a[0] = 7;
+        }
+        """
+        a, b = alloc_for_type(Type("int"), 1), alloc_for_type(Type("int"), 1)
+        run(src, "k", 1, 1, a, b, n)
+        assert (a[0], b[0]) == ((7, 0) if n == 0 else (0, 7))
+
+    def test_shared_array_passed_as_pointer(self):
+        src = """
+        __device__ void put(float *p, int i) { p[i] = 1; }
+        __global__ void k(float *out) {
+            __shared__ float buf[2];
+            put(buf, threadIdx.x);
+            __syncthreads();
+            out[threadIdx.x] = buf[threadIdx.x] / 2;
+        }
+        """
+        out = float_array(2)
+        run(src, "k", 1, 2, out)
+        assert out.array == [0.5, 0.5]

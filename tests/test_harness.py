@@ -1,6 +1,9 @@
 """Harness unit tests: variant mapping, runner, tuning, geomean."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,3 +212,48 @@ class TestTuning:
         bench, data = bfs_setup
         outcome = tune(bench, data, "CDP+C", strategy="guided")
         assert all(p.threshold is None for p, _ in outcome.evaluated)
+
+
+def _run_python(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLazyPackage:
+    """``repro.harness`` resolves its names on first use, so the sweep
+    path does not load the HTTP service, sockets or process pools."""
+
+    def test_sweep_import_loads_no_service_or_pool_modules(self):
+        loaded = _run_python(
+            "import sys\n"
+            "import repro.harness.sweep\n"
+            "heavy = ('http', 'email', 'multiprocessing', 'concurrent',\n"
+            "         'socketserver')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in heavy\n"
+            "             or m in ('repro.harness.serve',\n"
+            "                      'repro.harness.remote')))\n")
+        assert loaded.strip() == "[]"
+
+    def test_star_import_resolves_every_public_name(self):
+        out = _run_python(
+            "import repro.harness as harness\n"
+            "namespace = {}\n"
+            "exec('from repro.harness import *', namespace)\n"
+            "missing = [n for n in harness.__all__ if n not in namespace]\n"
+            "print(len(harness.__all__), missing)\n"
+            "print(harness.BACKENDS['remote'] is harness.RemoteBackend)\n")
+        count, rest = out.split(" ", 1)
+        assert int(count) > 80
+        assert rest.splitlines() == ["[]", "True"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.harness as harness
+        with pytest.raises(AttributeError):
+            harness.no_such_name

@@ -35,13 +35,15 @@ class TestDeviceMemory:
     def test_upload_int(self):
         dev = self._device()
         p = dev.upload(np.array([1, 2, 3]))
-        assert p.array.dtype == np.int64
+        assert p.dtype == np.int64
+        assert p.to_numpy().dtype == np.int64
         assert list(p.array) == [1, 2, 3]
 
     def test_upload_float(self):
         dev = self._device()
         p = dev.upload(np.array([0.5, 1.5]))
-        assert p.array.dtype == np.float64
+        assert p.dtype == np.float64
+        assert p.to_numpy().dtype == np.float64
 
     def test_wrong_arg_count_rejected(self):
         dev = self._device()

@@ -96,7 +96,10 @@ class TestExecutorCrashMidPoint:
         statuses = []
 
         def one(threshold):
-            status, _ = fetch(server, cold_point(threshold))
+            # One tenant each: three anonymous loopback callers would share
+            # one max_inflight=2 bucket (pinned by the test below).
+            status, _ = fetch(server, cold_point(threshold),
+                              {"X-Repro-Client": "waiter-%d" % threshold})
             statuses.append(status)
 
         threads = [threading.Thread(target=one, args=(t,))
@@ -107,6 +110,41 @@ class TestExecutorCrashMidPoint:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert statuses == [500, 500, 500]
+
+    def test_anonymous_concurrent_misses_share_one_bucket(self, server):
+        release = threading.Event()
+
+        def blocked_crash(*args, **kwargs):
+            release.wait(60)
+            raise RuntimeError("injected crash")
+
+        for executor in server.service.miss_executors:
+            executor.run_one = blocked_crash
+        statuses = []
+
+        def one(threshold):
+            status, _ = fetch(server, cold_point(threshold))
+            statuses.append(status)
+
+        threads = [threading.Thread(target=one, args=(t,)) for t in (16, 24)]
+        for thread in threads:
+            thread.start()
+        quota = server.service.quota
+        for _ in range(600):
+            if quota.inflight("127.0.0.1") == 2:
+                break
+            threading.Event().wait(0.05)
+        assert quota.inflight("127.0.0.1") == 2
+        # Both leases are held: a third anonymous miss is over the cap.
+        status, payload = fetch(server, cold_point(32))
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert status == 429
+        assert payload["error"] == "QuotaExceededError"
+        assert payload["reason"] == "inflight"
+        assert statuses == [500, 500]
+        assert quota.inflight("127.0.0.1") == 0
 
     def test_drains_clean_after_crashes(self, server):
         self.crash_executors(server)
