@@ -166,10 +166,10 @@ _FIGURES = {
 def _add_sweep_flags(parser, default_cache=None):
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the sweep engine")
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="sweep execution backend (default: serial for "
-                             "--jobs 1, process otherwise; remote needs "
-                             "--workers)")
+    parser.add_argument("--backend", default=None,
+                        help="sweep execution backend: %s (default: serial "
+                             "for --jobs 1, process otherwise; remote needs "
+                             "--workers)" % ", ".join(sorted(BACKENDS)))
     parser.add_argument("--workers", default=None,
                         metavar="HOST:PORT[,HOST:PORT...]",
                         help="remote worker daemons to shard the sweep "
@@ -554,7 +554,7 @@ def build_parser():
     p_sweep = sub.add_parser(
         "sweep", help="run a (pairs x variants) grid through the parallel "
                       "sweep engine with a persistent result cache "
-                      "(--backend serial|process|thread|futures|remote, "
+                      "(--backend serial|process|thread|remote, "
                       "--keep-going to continue past failed points)")
     p_sweep.add_argument("--grid", choices=sorted(_SWEEP_GRIDS),
                          default="fig9",

@@ -16,7 +16,6 @@ CLI):
 * ``thread`` — a ``concurrent.futures.ThreadPoolExecutor``; the simulator
   is GIL-bound pure Python so this rarely speeds anything up, but it
   shares the in-process dataset memo and needs no pickling;
-* ``futures`` — a ``concurrent.futures.ProcessPoolExecutor``;
 * ``remote`` — shard chunks over ``repro worker serve`` daemons on other
   machines (:mod:`repro.harness.remote`; needs ``workers=`` /
   ``--workers``).
@@ -230,13 +229,6 @@ def _safe_worker(point):
                 traceback.format_exc())
 
 
-def _pool_context():
-    import multiprocessing      # only the process pools need it
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 # -- backends -----------------------------------------------------------------
 
 def _auto_chunk(n_items, jobs):
@@ -283,7 +275,7 @@ class SerialBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """``multiprocessing.Pool`` with chunked submission (PR 1's pool)."""
+    """``multiprocessing.Pool`` with chunked submission."""
 
     name = "process"
 
@@ -295,7 +287,10 @@ class ProcessBackend(Backend):
         if self.jobs <= 1 or len(points) <= 1:
             return [_safe_worker(point) for point in points]
         if self._pool is None:
-            self._pool = _pool_context().Pool(self.jobs)
+            import multiprocessing      # only the process pool needs it
+            methods = multiprocessing.get_all_start_methods()
+            self._pool = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn").Pool(self.jobs)
         return self._pool.map(_safe_worker, points,
                               chunksize=self._chunk(len(points)))
 
@@ -306,21 +301,21 @@ class ProcessBackend(Backend):
             self._pool = None
 
 
-class _FuturesBackend(Backend):
-    """Shared base for the ``concurrent.futures`` pool backends."""
+class ThreadBackend(Backend):
+    """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
+
+    name = "thread"
 
     def __init__(self, jobs=1, chunk_size=None):
         super().__init__(jobs, chunk_size)
         self._executor = None
 
-    def _make_executor(self):
-        raise NotImplementedError
-
     def map(self, points):
         if self.jobs <= 1 or len(points) <= 1:
             return [_safe_worker(point) for point in points]
         if self._executor is None:
-            self._executor = self._make_executor()
+            from concurrent.futures import ThreadPoolExecutor
+            self._executor = ThreadPoolExecutor(max_workers=self.jobs)
         return list(self._executor.map(_safe_worker, points,
                                        chunksize=self._chunk(len(points))))
 
@@ -328,27 +323,6 @@ class _FuturesBackend(Backend):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-
-class ThreadBackend(_FuturesBackend):
-    """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
-
-    name = "thread"
-
-    def _make_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-        return ThreadPoolExecutor(max_workers=self.jobs)
-
-
-class FuturesBackend(_FuturesBackend):
-    """``ProcessPoolExecutor`` (the stdlib's other process pool)."""
-
-    name = "futures"
-
-    def _make_executor(self):
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor(max_workers=self.jobs,
-                                   mp_context=_pool_context())
 
 
 def _remote_backend(*args, **kwargs):
@@ -361,7 +335,7 @@ def _remote_backend(*args, **kwargs):
 
 #: Registry of backend names (``remote`` loads its module on first use).
 BACKENDS = {cls.name: cls for cls in
-            (SerialBackend, ProcessBackend, ThreadBackend, FuturesBackend)}
+            (SerialBackend, ProcessBackend, ThreadBackend)}
 BACKENDS["remote"] = _remote_backend
 
 
@@ -461,7 +435,7 @@ class SweepExecutor:
     touches the simulator or spawns a pool.
 
     ``backend`` is a name from :data:`BACKENDS` (``serial``, ``process``,
-    ``thread``, ``futures``, ``remote``) or an instance; unset, it is
+    ``thread``, ``remote``) or an instance; unset, it is
     ``serial`` for ``jobs <= 1``, ``process`` otherwise, and ``remote``
     when ``workers=`` (host:port worker-daemon addresses) is given.
     Pool-backed backends are created lazily on the first miss batch and

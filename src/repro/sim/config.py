@@ -33,13 +33,6 @@ class DeviceConfig:
                                       # granularity aggregation (Sec. V-A)
     pending_launch_limit: int = 4096  # CUDA pending-launch buffer pool
 
-    def block_slots(self, block_threads):
-        """Resident blocks per SM for a given block size."""
-        if block_threads <= 0:
-            return self.max_blocks_per_sm
-        by_threads = max(1, self.max_threads_per_sm // max(block_threads, 1))
-        return max(1, min(self.max_blocks_per_sm, by_threads))
-
     def block_service(self, sum_warp_cycles):
         """SM pipeline time one block's work consumes (throughput bound).
 
@@ -52,7 +45,3 @@ class DeviceConfig:
         """Lower bound on one block's lifetime (its slowest warp)."""
         return self.block_overhead + max_warp_cycles
 
-    def block_duration(self, max_warp_cycles, sum_warp_cycles):
-        """Duration of a block running *alone* on an SM."""
-        return max(self.block_latency(max_warp_cycles),
-                   self.block_service(sum_warp_cycles))

@@ -17,10 +17,8 @@ effect Fig. 10 discusses.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DeviceConfig
-from .trace import HOST, HOST_AGG
+from .trace import HOST_AGG
 
 
 @dataclass
@@ -51,43 +49,23 @@ class Breakdown:
 
 
 def breakdown(trace, config=None):
-    """Compute the Fig. 10 component totals for one run's trace.
-
-    Accumulated as column sums over one (grids × counters) NumPy matrix
-    rather than per-grid Python arithmetic; per-launch overheads reduce to
-    counting grids by incoming-launch kind. All counters are exact integer
-    cycle totals, so the result is identical to the scalar loop's.
-    """
+    """Compute the Fig. 10 component totals for one run's trace."""
     config = config or DeviceConfig()
-    grids = trace.grids
     result = Breakdown()
-    if not grids:
-        return result
-    n_host_agg = 0
-    n_device = 0
-    rows = np.fromiter(
-        (v for g in grids
-         for v in (g.total_cycles, g.reg_agg, g.reg_disagg, g.reg_launch,
-                   g.is_dynamic)),
-        dtype=np.int64, count=len(grids) * 5).reshape(len(grids), 5)
-    for grid in grids:
-        launch = grid.launch
-        if launch is None or launch.kind == HOST:
-            continue
-        if launch.kind == HOST_AGG:
-            n_host_agg += 1
+    for grid in trace.grids:
+        own = grid.total_cycles - grid.reg_agg - grid.reg_disagg \
+            - grid.reg_launch
+        result.agg += grid.reg_agg
+        result.disagg += grid.reg_disagg
+        result.launch += grid.reg_launch
+        if grid.is_dynamic:
+            result.child += own
         else:
-            n_device += 1
-    total, agg, disagg, launch_cycles = (
-        int(v) for v in rows[:, :4].sum(axis=0))
-    own = rows[:, 0] - rows[:, 1] - rows[:, 2] - rows[:, 3]
-    child = int(own[rows[:, 4] == 1].sum())
-    result.agg = agg
-    result.disagg = disagg
-    result.parent = total - agg - disagg - launch_cycles - child
-    result.child = child
-    result.launch = (launch_cycles
-                     + n_host_agg * config.host_agg_overhead
-                     + n_device * (config.launch_service_interval
-                                   + config.device_launch_latency))
+            result.parent += own
+        if grid.launch is not None:
+            if grid.launch.kind == HOST_AGG:
+                result.launch += config.host_agg_overhead
+            elif grid.is_dynamic:
+                result.launch += (config.launch_service_interval
+                                  + config.device_launch_latency)
     return result

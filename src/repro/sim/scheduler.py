@@ -1,4 +1,4 @@
-"""Event-driven timing simulation (phase 2), vectorized.
+"""Event-driven timing simulation (phase 2).
 
 Replays a :class:`~repro.sim.trace.Trace` against a
 :class:`~repro.sim.config.DeviceConfig`:
@@ -15,40 +15,17 @@ Replays a :class:`~repro.sim.trace.Trace` against a
 * host events run sequentially; ``sync`` waits for every grid launched so
   far (and all transitively launched descendants).
 
-This implementation batches the hot inner loops that used to run one
-Python object at a time (the per-block/per-event oracle is preserved in
-:mod:`repro.sim.scheduler_ref` and must stay bit-identical — the golden
-parity suite enforces it):
-
-* per-grid block latencies and SM service cycles are computed as NumPy
-  array expressions over the trace's block costs, once, instead of two
-  method calls per placement;
-* the pending-block queue holds one *range* per ready grid rather than
-  one tuple per block, so a grid of B blocks costs O(1) to enqueue;
-* a block's dynamic launches clear the single-server launch queue as one
-  NumPy recurrence (a shifted cumulative maximum) when the batch is
-  large, instead of a per-launch read-modify-write of the server clock;
-* SM occupancy and per-grid timing live in flat arrays indexed by SM and
-  grid id; the :class:`GridTiming` objects are materialized once at the
-  end.
+The golden digests in ``tests/test_scheduler_parity.py`` pin every
+:class:`TimingResult` this produces across the benchmark × variant corpus.
 """
 
 import heapq
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import SimulationError
 from .config import DeviceConfig
 from .trace import HOST_AGG
-
-#: Dynamic-launch batches at least this large clear the launch-queue
-#: recurrence in NumPy; smaller ones stay scalar (array setup would cost
-#: more than it saves). Both paths are exactly equivalent.
-_LAUNCH_BATCH_MIN = 32
-
-_GRID_READY, _BLOCK_FINISH, _LAUNCH_READY = 0, 1, 2
 
 
 @dataclass
@@ -69,8 +46,14 @@ class TimingResult:
     device_launches: int
     host_agg_launches: int
 
-    def grid_finish(self, grid):
-        return self.grid_timings[grid.gid].finish
+
+class _SM:
+    __slots__ = ("free_blocks", "free_threads", "work_free")
+
+    def __init__(self, config):
+        self.free_blocks = config.max_blocks_per_sm
+        self.free_threads = config.max_threads_per_sm
+        self.work_free = 0      # when the SM's shared pipeline drains
 
 
 class Simulator:
@@ -81,65 +64,23 @@ class Simulator:
         self.config = config
         self.events = []
         self._seq = 0
-        num_sms = config.num_sms
-        self.sm_free_blocks = [config.max_blocks_per_sm] * num_sms
-        self.sm_free_threads = [config.max_threads_per_sm] * num_sms
-        self.sm_work_free = [0] * num_sms   # when each SM's pipeline drains
-        self.pending = deque()              # [grid, next block index]
+        self.sms = [_SM(config) for _ in range(config.num_sms)]
+        self.pending_blocks = deque()   # (grid, block_index)
+        self.timings = {g.gid: GridTiming() for g in trace.grids}
         self.launch_server_free = 0
         self.launch_queue_wait = 0
         self.device_launches = 0
         self.host_agg_launches = 0
-        self.outstanding = 0                # grids injected but not finished
-
-        grids = trace.grids
-        n = len(grids)
-        if any(grid.gid != i for i, grid in enumerate(grids)):
-            raise SimulationError("trace grid ids must be dense and ordered")
-        # Flat per-grid timing state, indexed by gid; GridTiming objects
-        # are only built once, in run().
-        self.g_ready = [0] * n
-        self.g_first_start = [-1] * n
-        self.g_finish = [0] * n
-        self.g_blocks_done = [0] * n
-        # Vectorized block timing: latency (slowest warp) and SM pipeline
-        # service cycles for EVERY block of every grid, in one flat array
-        # pass over the whole trace instead of two DeviceConfig calls per
-        # placement. g_off[gid] locates a grid's slice in the flat lists
-        # (flat because many traces are thousands of 1–2 block child
-        # grids, where per-grid arrays would cost more than they save).
-        self.g_threads = [0] * n            # thread-slot need per block
-        self.g_off = [0] * n
-        max_threads = config.max_threads_per_sm
-        total = 0
-        for grid in grids:
-            gid = grid.gid
-            self.g_threads[gid] = min(grid.block_dim, max_threads)
-            self.g_off[gid] = total
-            total += len(grid.blocks)
-        if total:
-            max_warp = np.fromiter(
-                (b.max_warp for g in grids for b in g.blocks),
-                dtype=np.int64, count=total)
-            sum_warp = np.fromiter(
-                (b.sum_warp for g in grids for b in g.blocks),
-                dtype=np.int64, count=total)
-            self.flat_lat = config.block_latency(max_warp).tolist()
-            self.flat_svc = config.block_service(sum_warp).tolist()
-        else:
-            self.flat_lat = []
-            self.flat_svc = []
+        self.outstanding = 0            # grids injected but not finished
         # Children index: dynamic launches fire when their parent *block*
         # starts (offset known then); host_agg fire at parent grid finish.
-        self.block_launches = [None] * n    # gid -> {block -> [LaunchRecord]}
-        self.finish_launches = {}           # parent gid -> [LaunchRecord]
-        for grid in grids:
+        self.block_launches = {}        # (parent gid, block) -> [LaunchRecord]
+        self.finish_launches = {}       # parent gid -> [LaunchRecord]
+        for grid in trace.grids:
             for rec in grid.children:
-                per_block = self.block_launches[grid.gid]
-                if per_block is None:
-                    per_block = self.block_launches[grid.gid] = {}
-                per_block.setdefault(rec.parent_block, []).append(rec)
-        for grid in grids:
+                key = (grid.gid, rec.parent_block)
+                self.block_launches.setdefault(key, []).append(rec)
+        for grid in trace.grids:
             launch = grid.launch
             if launch is not None and launch.kind == HOST_AGG:
                 self.finish_launches.setdefault(
@@ -164,45 +105,37 @@ class Simulator:
             else:
                 raise SimulationError("unknown host event %r" % (event[0],))
         host_time = max(host_time, self._drain())
-        timings = {}
-        for grid in self.trace.grids:
-            gid = grid.gid
-            timings[gid] = GridTiming(self.g_ready[gid],
-                                      self.g_first_start[gid],
-                                      self.g_finish[gid],
-                                      self.g_blocks_done[gid])
         return TimingResult(
             total_time=host_time,
-            grid_timings=timings,
+            grid_timings=self.timings,
             launch_queue_wait=self.launch_queue_wait,
             device_launches=self.device_launches,
             host_agg_launches=self.host_agg_launches)
 
     def _inject(self, grid, ready_time):
-        gid = grid.gid
-        self.g_ready[gid] = ready_time
+        timing = self.timings[grid.gid]
+        timing.ready = ready_time
         self.outstanding += 1
         if not grid.blocks:
-            self.g_finish[gid] = ready_time
+            timing.finish = ready_time
             self.outstanding -= 1
             self._on_grid_finish(grid, ready_time)
             return
-        self._push(ready_time, _GRID_READY, grid)
+        self._push(ready_time, "grid_ready", grid)
 
     def _drain(self):
         """Run the event loop to exhaustion; returns the last finish time."""
         last = 0
-        events = self.events
-        while events:
-            time, _, kind, payload = heapq.heappop(events)
-            if time > last:
-                last = time
-            if kind == _BLOCK_FINISH:
-                self._on_block_finish(time, payload)
-            elif kind == _GRID_READY:
-                self.pending.append([payload, 0])
+        while self.events:
+            time, _, kind, payload = heapq.heappop(self.events)
+            last = max(last, time)
+            if kind == "grid_ready":
+                for index in range(len(payload.blocks)):
+                    self.pending_blocks.append((payload, index))
                 self._schedule(time)
-            elif kind == _LAUNCH_READY:
+            elif kind == "block_finish":
+                self._on_block_finish(time, *payload)
+            elif kind == "launch_ready":
                 self._inject(payload.grid, time)
             else:
                 raise SimulationError("unknown event %r" % kind)
@@ -215,120 +148,70 @@ class Simulator:
     # -- scheduling --------------------------------------------------------------
 
     def _schedule(self, time):
-        pending = self.pending
-        free_blocks = self.sm_free_blocks
-        free_threads = self.sm_free_threads
-        work_free = self.sm_work_free
-        num_sms = len(free_blocks)
-        flat_lat = self.flat_lat
-        flat_svc = self.flat_svc
-        while pending:
-            entry = pending[0]
-            grid = entry[0]
-            gid = grid.gid
-            need = self.g_threads[gid]
-            # First SM with a block slot, room for the block's threads,
-            # and the strictly largest thread headroom (FIFO head only:
-            # a head block that fits nowhere blocks the queue).
-            best = -1
-            best_free = -1
-            for sm in range(num_sms):
-                if free_blocks[sm] <= 0:
-                    continue
-                threads = free_threads[sm]
-                if threads < need or threads <= best_free:
-                    continue
-                best, best_free = sm, threads
-            if best < 0:
+        while self.pending_blocks:
+            grid, index = self.pending_blocks[0]
+            sm = self._find_sm(grid.block_dim)
+            if sm is None:
                 return
-            index = entry[1]
-            entry[1] = index + 1
-            if entry[1] == len(grid.blocks):
-                pending.popleft()
-            free_blocks[best] -= 1
-            free_threads[best] = best_free - need
-            if self.g_first_start[gid] < 0:
-                self.g_first_start[gid] = time
+            self.pending_blocks.popleft()
+            sm.free_blocks -= 1
+            sm.free_threads -= min(grid.block_dim,
+                                   self.config.max_threads_per_sm)
+            timing = self.timings[grid.gid]
+            if timing.first_start < 0:
+                timing.first_start = time
+            cost = grid.blocks[index]
             # Blocks resident on one SM share its issue pipeline: the block
             # completes when both its own slowest warp has retired and the
             # SM has pushed the block's summed work through the pipeline.
-            flat = self.g_off[gid] + index
-            busy = work_free[best]
-            busy = (busy if busy > time else time) + flat_svc[flat]
-            work_free[best] = busy
-            finish = time + flat_lat[flat]
-            if busy > finish:
-                finish = busy
-            per_block = self.block_launches[gid]
-            if per_block is not None:
-                recs = per_block.get(index)
-                if recs:
-                    self._emit_block_launches(recs, time, finish - time)
-            self._push(finish, _BLOCK_FINISH, (grid, best))
+            sm.work_free = max(sm.work_free, time) \
+                + self.config.block_service(cost.sum_warp)
+            finish = max(time + self.config.block_latency(cost.max_warp),
+                         sm.work_free)
+            self._emit_block_launches(grid, index, time, finish - time)
+            self._push(finish, "block_finish", (grid, index, sm))
 
-    def _emit_block_launches(self, recs, start, duration):
-        """Push one block's dynamic launches through the single-server
-        launch queue (fixed service interval), accumulating queue wait.
+    def _find_sm(self, block_threads):
+        best = None
+        for sm in self.sms:
+            if sm.free_blocks <= 0:
+                continue
+            if sm.free_threads < min(block_threads,
+                                     self.config.max_threads_per_sm):
+                continue
+            if best is None or sm.free_threads > best.free_threads:
+                best = sm
+        return best
 
-        Large batches use the closed form of the server recurrence
-        ``ready[i] = max(arrival[i], ready[i-1]) + interval``: with
-        ``t[i] = ready[i] - (i + 1) * interval`` it becomes a running
-        maximum of ``arrival[i] - i * interval``, which NumPy computes in
-        one ``maximum.accumulate`` — identical results, no per-launch
-        Python arithmetic.
-        """
-        interval = self.config.launch_service_interval
-        latency = self.config.device_launch_latency
-        count = len(recs)
-        self.device_launches += count
-        if count >= _LAUNCH_BATCH_MIN:
-            offsets = np.fromiter((rec.issue_offset for rec in recs),
-                                  dtype=np.int64, count=count)
-            arrival = start + np.minimum(offsets, duration)
-            shifted = arrival - np.arange(count, dtype=np.int64) * interval
-            shifted[0] = max(shifted[0], self.launch_server_free)
-            ready = (np.maximum.accumulate(shifted)
-                     + np.arange(1, count + 1, dtype=np.int64) * interval)
-            self.launch_queue_wait += int(
-                (ready - arrival).sum()) - count * interval
-            self.launch_server_free = int(ready[-1])
-            ready_list = (ready + latency).tolist()
-            for rec, rec_ready in zip(recs, ready_list):
-                self._push(rec_ready, _LAUNCH_READY, rec)
-            return
-        server_free = self.launch_server_free
-        wait = 0
-        for rec in recs:
-            offset = rec.issue_offset
-            arrival = start + (offset if offset < duration else duration)
-            ready = (server_free if server_free > arrival else arrival) \
-                + interval
-            wait += ready - arrival - interval
-            server_free = ready
-            self._push(ready + latency, _LAUNCH_READY, rec)
-        self.launch_server_free = server_free
-        self.launch_queue_wait += wait
+    def _emit_block_launches(self, grid, index, start, duration):
+        for rec in self.block_launches.get((grid.gid, index), ()):
+            arrival = start + min(rec.issue_offset, duration)
+            self.device_launches += 1
+            ready = max(arrival, self.launch_server_free) \
+                + self.config.launch_service_interval
+            self.launch_queue_wait += ready - arrival \
+                - self.config.launch_service_interval
+            self.launch_server_free = ready
+            self._push(ready + self.config.device_launch_latency,
+                       "launch_ready", rec)
 
-    def _on_block_finish(self, time, payload):
-        grid, sm = payload
-        gid = grid.gid
-        self.sm_free_blocks[sm] += 1
-        self.sm_free_threads[sm] += self.g_threads[gid]
-        done = self.g_blocks_done[gid] + 1
-        self.g_blocks_done[gid] = done
-        if done == len(grid.blocks):
-            self.g_finish[gid] = time
+    def _on_block_finish(self, time, grid, index, sm):
+        sm.free_blocks += 1
+        sm.free_threads += min(grid.block_dim,
+                               self.config.max_threads_per_sm)
+        timing = self.timings[grid.gid]
+        timing.blocks_done += 1
+        if timing.blocks_done == len(grid.blocks):
+            timing.finish = time
             self.outstanding -= 1
             self._on_grid_finish(grid, time)
         self._schedule(time)
 
     def _on_grid_finish(self, grid, time):
-        recs = self.finish_launches.get(grid.gid)
-        if recs:
-            ready = time + self.config.host_agg_overhead
-            for rec in recs:
-                self.host_agg_launches += 1
-                self._push(ready, _LAUNCH_READY, rec)
+        for rec in self.finish_launches.get(grid.gid, ()):
+            self.host_agg_launches += 1
+            self._push(time + self.config.host_agg_overhead,
+                       "launch_ready", rec)
 
 
 def simulate(trace, config=None):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import Module
+from repro.harness.sweep import make_backend
 from repro.minicuda import parse
 from repro.transforms.base import meta_from_dict, meta_to_dict
 from repro.transforms import OptConfig, transform
@@ -113,8 +114,7 @@ class TestSweepCommand:
 
 
 class TestSweepBackendFlag:
-    @pytest.mark.parametrize("backend", ("serial", "process", "thread",
-                                         "futures"))
+    @pytest.mark.parametrize("backend", ("serial", "process", "thread"))
     def test_backend_selected(self, backend, capsys):
         args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP",
                 "--scale", "0.08", "--no-cache", "--jobs", "2",
@@ -122,6 +122,18 @@ class TestSweepBackendFlag:
         assert main(args) == 0
         err = capsys.readouterr().err
         assert "backend=%s" % backend in err
+
+    def test_futures_backend_is_unknown(self, capsys):
+        message = ("unknown sweep backend 'futures' "
+                   "(have process, remote, serial, thread)")
+        with pytest.raises(ValueError) as excinfo:
+            make_backend("futures")
+        assert str(excinfo.value) == message
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--pairs", "BFS:KRON", "--variants", "CDP",
+                  "--scale", "0.08", "--no-cache", "--backend", "futures"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_backends_bit_identical(self, capsys):
         args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP", "CDP+T",
